@@ -1,16 +1,41 @@
 //! Integration tests for the `qmatch` binary: real process invocations over
 //! corpus schemas written to a temp directory.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn binary() -> &'static str {
     env!("CARGO_BIN_EXE_qmatch")
 }
 
+/// A temp dir private to one test, removed when the test ends. Tests run
+/// in parallel and rewrite their inputs, so a shared dir would let one
+/// test read a file another is in the middle of truncating.
+struct TestDir(PathBuf);
+
+impl std::ops::Deref for TestDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 /// Writes the corpus PO schemas and a gold file to a fresh temp dir.
-fn setup() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("qmatch-cli-test-{}", std::process::id()));
+fn setup() -> TestDir {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "qmatch-cli-test-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("po1.xsd"), qmatch_datasets::corpus::po1_xsd()).unwrap();
     std::fs::write(dir.join("po2.xsd"), qmatch_datasets::corpus::po2_xsd()).unwrap();
@@ -20,7 +45,7 @@ fn setup() -> PathBuf {
         gold.push_str(&format!("{s}\t{t}\n"));
     }
     std::fs::write(dir.join("po.gold.tsv"), gold).unwrap();
-    dir
+    TestDir(dir)
 }
 
 fn run(args: &[&str]) -> Output {

@@ -96,9 +96,10 @@ impl MatchSession {
     ///   — the old→new mapping is the identity then, so they are the same
     ///   tables.
     ///
-    /// `old` must have been prepared by **this** session (its symbols index
-    /// this session's interner) and `diff` must be the diff of
-    /// `old.tree()` → `new_tree`.
+    /// `diff` must be the diff of `old.tree()` → `new_tree`. Symbol reuse
+    /// needs `old` to come from this session's interner (this session or a
+    /// [`MatchSession::sibling`]); any other `old` has every label
+    /// interned afresh.
     pub fn reprepare<'t>(
         &self,
         old: &PreparedSchema<'_>,
@@ -114,6 +115,8 @@ impl MatchSession {
         let mut distinct_folded: Vec<String> = Vec::new();
         let mut distinct_tokens = Vec::new();
         let mut reused_symbols = 0u64;
+        let own = self.owns(old);
+        let reusable: &[Symbol] = if own { &old.distinct } else { &[] };
         {
             // Symbols are session-global and interning is idempotent, so a
             // clean node's old symbol IS what intern() would return — reuse
@@ -122,7 +125,7 @@ impl MatchSession {
             let mut interner = self.interner().lock().expect("interner lock");
             for (id, node) in new_tree.iter() {
                 let symbol = match diff.old_of(id) {
-                    Some(o) if !diff.is_renamed(id) => {
+                    Some(o) if own && !diff.is_renamed(id) => {
                         reused_symbols += 1;
                         old.symbols[o.index()]
                     }
@@ -134,8 +137,7 @@ impl MatchSession {
             // folded/token copies come from the old tables when the label
             // was already distinct there (they are copies of the same
             // interner entries), else from the interner.
-            let old_distinct: HashMap<Symbol, u32> = old
-                .distinct
+            let old_distinct: HashMap<Symbol, u32> = reusable
                 .iter()
                 .enumerate()
                 .map(|(k, &s)| (s, k as u32))
@@ -215,6 +217,7 @@ impl MatchSession {
         }
         let prepared = PreparedSchema {
             tree: new_tree,
+            interner: self.interner_id(),
             symbols,
             distinct,
             node_distinct,
@@ -461,6 +464,22 @@ mod tests {
             let incremental = session.reprepare(&old, &new_tree, &diff);
             let scratch = session.prepare(&new_tree);
             incremental.assert_structural_eq(&scratch);
+        }
+    }
+
+    #[test]
+    fn reprepare_of_a_foreign_revision_reinterns_its_labels() {
+        // `old` comes from an interner that numbers the labels differently;
+        // its symbols must not leak into this session's artifact.
+        let foreign = MatchSession::new(MatchConfig::default());
+        foreign.prepare(&target());
+        let session = MatchSession::new(MatchConfig::default());
+        for new_tree in [po(), po_renamed(), po_grown()] {
+            let old_tree = po();
+            let old = foreign.prepare(&old_tree);
+            let diff = session.diff_trees(&old_tree, &new_tree);
+            let incremental = session.reprepare(&old, &new_tree, &diff);
+            incremental.assert_structural_eq(&session.prepare(&new_tree));
         }
     }
 

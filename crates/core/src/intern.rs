@@ -3,13 +3,15 @@
 //! happens exactly once, when the symbol is created.
 //!
 //! The interner is the substrate of the prepare-once/match-many session
-//! architecture (see `session`): a [`crate::session::MatchSession`] owns one
-//! [`Interner`] for its whole lifetime, so a schema corpus that reuses the
-//! same vocabulary — the dominant production case — pays the linguistic
-//! preprocessing once per distinct label, not once per node per match call.
+//! architecture (see `session`): a [`crate::session::MatchSession`] holds one
+//! [`Interner`] for its whole lifetime (sibling sessions share it), so a
+//! schema corpus that reuses the same vocabulary — the dominant production
+//! case — pays the linguistic preprocessing once per distinct label, not
+//! once per node per match call.
 
 use qmatch_lexicon::tokenize::{tokenize, Token};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An interned label. Two symbols from the same [`Interner`] are equal iff
 /// their raw label strings are byte-identical; the symbol also keys the
@@ -33,16 +35,36 @@ struct Entry {
 }
 
 /// Interns label strings and owns their case-folded and tokenized forms.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Interner {
+    /// Process-unique identity: symbols are only comparable between
+    /// holders of the same interner, and this is how they tell.
+    id: u64,
     map: HashMap<String, u32>,
     entries: Vec<Entry>,
 }
 
+impl Default for Interner {
+    fn default() -> Interner {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Interner {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            map: HashMap::new(),
+            entries: Vec::new(),
+        }
+    }
+}
+
 impl Interner {
-    /// An empty interner.
+    /// An empty interner with a fresh identity.
     pub fn new() -> Interner {
         Interner::default()
+    }
+
+    /// This interner's process-unique identity. Two symbols name the same
+    /// label only if they came from interners with equal ids.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
     }
 
     /// Interns `label`, folding and tokenizing it on first sight.
@@ -119,5 +141,11 @@ mod tests {
         for (k, s) in syms.iter().enumerate() {
             assert_eq!(s.index(), k);
         }
+    }
+
+    #[test]
+    fn every_interner_has_its_own_identity() {
+        let (a, b) = (Interner::new(), Interner::default());
+        assert_ne!(a.id(), b.id());
     }
 }

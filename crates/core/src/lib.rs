@@ -71,6 +71,7 @@ pub mod evolve;
 pub mod explain;
 pub mod index;
 pub mod intern;
+mod label_cache;
 pub mod mapping;
 pub mod matrix;
 pub mod model;

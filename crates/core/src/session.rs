@@ -22,6 +22,11 @@
 //! two labels and the matcher, so cached and freshly computed runs are
 //! bit-identical (property-tested in `tests/session_equivalence.rs`).
 //!
+//! Symbols are only meaningful within one [`Interner`]. Sessions made with
+//! [`MatchSession::sibling`] share theirs, so their prepared schemas are
+//! interchangeable for free; a prepared schema from any other interner is
+//! re-interned (from its tree's labels) before it touches the cache.
+//!
 //! [`tokenize`]: qmatch_lexicon::tokenize()
 
 use crate::algorithms::{
@@ -32,6 +37,7 @@ use crate::algorithms::{
 use crate::arena::{ArenaStats, MatchArena};
 use crate::explain::{explain_with_label, Explanation};
 use crate::intern::{Interner, Symbol};
+use crate::label_cache::LabelCache;
 use crate::mapping::{extract_mapping, Mapping};
 use crate::matrix::{Precision, SimMatrix};
 use crate::model::{LexiconMode, MatchConfig};
@@ -41,6 +47,7 @@ use crate::trace::{Phase, Span, Trace, TraceSink};
 use qmatch_lexicon::name_match::{LabelGrade, NameMatch, NameMatcher};
 use qmatch_lexicon::tokenize::Token;
 use qmatch_xsd::{NodeId, Properties, SchemaTree};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -52,6 +59,8 @@ use std::sync::{Arc, Mutex};
 /// hashing and no string work.
 pub struct PreparedSchema<'t> {
     pub(crate) tree: &'t SchemaTree,
+    /// [`Interner::id`] of the interner the symbols below come from.
+    pub(crate) interner: u64,
     /// Per-node interned label (session-global symbol).
     pub(crate) symbols: Vec<Symbol>,
     /// Distinct symbols of this tree in first-seen (pre-order) order.
@@ -92,7 +101,8 @@ impl<'t> PreparedSchema<'t> {
         self.tree
     }
 
-    /// The interned symbol of a node's label.
+    /// The interned symbol of a node's label (meaningful only within the
+    /// interner of the session that prepared this schema).
     pub fn symbol(&self, id: NodeId) -> Symbol {
         self.symbols[id.index()]
     }
@@ -296,10 +306,14 @@ impl CacheStats {
 pub struct MatchSession {
     config: MatchConfig,
     matcher: NameMatcher,
-    interner: Mutex<Interner>,
+    /// Shared with every [`MatchSession::sibling`].
+    interner: Arc<Mutex<Interner>>,
+    /// `interner`'s [`Interner::id`], kept unlocked so the match paths can
+    /// tell own artifacts from foreign ones.
+    interner_id: u64,
     /// `(Symbol, Symbol) -> NameMatch`, shared across every pair matched in
     /// this session.
-    labels: Mutex<HashMap<(u32, u32), NameMatch>>,
+    labels: Mutex<LabelCache>,
     hits: AtomicU64,
     misses: AtomicU64,
     trace: Trace,
@@ -318,16 +332,35 @@ impl MatchSession {
 
     /// A session over a caller-supplied matcher (custom thesaurus).
     pub fn with_matcher(config: MatchConfig, matcher: NameMatcher) -> MatchSession {
+        MatchSession::with_interner(config, matcher, Arc::new(Mutex::new(Interner::new())))
+    }
+
+    fn with_interner(
+        config: MatchConfig,
+        matcher: NameMatcher,
+        interner: Arc<Mutex<Interner>>,
+    ) -> MatchSession {
+        let interner_id = interner.lock().expect("interner lock").id();
         MatchSession {
             config,
             matcher,
-            interner: Mutex::new(Interner::new()),
-            labels: Mutex::new(HashMap::new()),
+            interner,
+            interner_id,
+            labels: Mutex::new(LabelCache::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             trace: Trace::disabled(),
             arena: MatchArena::default(),
         }
+    }
+
+    /// A session with this one's config and matcher that shares its
+    /// interner but has its own label cache, counters, arena and (disabled)
+    /// trace. Prepared schemas of either session run on the other without
+    /// re-interning — a sharded server gives every shard a sibling of one
+    /// session, so cross-shard matches stay on the fast path.
+    pub fn sibling(&self) -> MatchSession {
+        MatchSession::with_interner(self.config, self.matcher.clone(), self.interner.clone())
     }
 
     /// Installs a [`TraceSink`]: every subsequent prepare/match/selection
@@ -388,6 +421,42 @@ impl MatchSession {
         }
     }
 
+    /// Heap bytes held by the cross-schema label cache. The cache never
+    /// evicts, so this only grows over the session's life.
+    pub fn label_cache_bytes(&self) -> usize {
+        self.labels.lock().expect("label cache lock").bytes()
+    }
+
+    /// [`Interner::id`] of this session's (possibly shared) interner.
+    pub(crate) fn interner_id(&self) -> u64 {
+        self.interner_id
+    }
+
+    /// Whether `prepared`'s symbols come from this session's interner.
+    pub(crate) fn owns(&self, prepared: &PreparedSchema) -> bool {
+        prepared.interner == self.interner_id
+    }
+
+    /// `prepared`'s distinct-label symbols in this session's interner:
+    /// borrowed when this interner prepared it, re-interned from the tree's
+    /// raw labels otherwise (a foreign symbol would key unrelated cache
+    /// entries).
+    fn local_symbols<'p>(&self, prepared: &'p PreparedSchema) -> Cow<'p, [Symbol]> {
+        if self.owns(prepared) {
+            return Cow::Borrowed(&prepared.distinct);
+        }
+        let mut interner = self.interner.lock().expect("interner lock");
+        let mut symbols = Vec::with_capacity(prepared.distinct.len());
+        // Distinct ids are handed out in pre-order first sight, so a node
+        // introduces a new label exactly when its id is the next one.
+        for (id, node) in prepared.tree.iter() {
+            if prepared.node_distinct[id.index()] as usize == symbols.len() {
+                symbols.push(interner.intern(&node.label));
+            }
+        }
+        Cow::Owned(symbols)
+    }
+
     /// Derives every per-schema artifact the engines consume. Labels seen in
     /// earlier `prepare` calls reuse their interned fold/tokenize work.
     pub fn prepare<'t>(&self, tree: &'t SchemaTree) -> PreparedSchema<'t> {
@@ -445,6 +514,7 @@ impl MatchSession {
         }
         let prepared = PreparedSchema {
             tree,
+            interner: self.interner_id,
             symbols,
             distinct,
             node_distinct,
@@ -808,8 +878,9 @@ impl MatchSession {
     ) -> NameMatch {
         let i = source.node_distinct[s.index()] as usize;
         let j = target.node_distinct[t.index()] as usize;
-        let key = (source.distinct[i].0, target.distinct[j].0);
-        if let Some(&hit) = self.labels.lock().expect("label cache lock").get(&key) {
+        let (s, t) = (self.local_symbols(source)[i], self.local_symbols(target)[j]);
+        let cached = self.labels.lock().expect("label cache lock").get(s, t);
+        if let Some(hit) = cached {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
@@ -818,7 +889,7 @@ impl MatchSession {
         self.labels
             .lock()
             .expect("label cache lock")
-            .insert(key, computed);
+            .insert(s, t, computed);
         computed
     }
 
@@ -832,50 +903,20 @@ impl MatchSession {
         let t0 = self.trace.start();
         let rows = source.distinct.len();
         let cols = target.distinct.len();
-        let mut table: Vec<Option<NameMatch>> = Vec::with_capacity(rows * cols);
+        let (sources, targets) = (self.local_symbols(source), self.local_symbols(target));
+        let mut table: Vec<NameMatch> = Vec::with_capacity(rows * cols);
         let mut missing: Vec<usize> = Vec::new();
-        {
-            let cache = self.labels.lock().expect("label cache lock");
-            for i in 0..rows {
-                for j in 0..cols {
-                    let key = (source.distinct[i].0, target.distinct[j].0);
-                    match cache.get(&key) {
-                        Some(&hit) => table.push(Some(hit)),
-                        None => {
-                            missing.push(i * cols + j);
-                            table.push(None);
-                        }
-                    }
-                }
-            }
-        }
+        self.fill_rows(&sources, &targets, &mut table, &mut missing);
         let miss_count = missing.len() as u64;
         self.hits
             .fetch_add(rows as u64 * cols as u64 - miss_count, Ordering::Relaxed);
         self.misses.fetch_add(miss_count, Ordering::Relaxed);
-        if !missing.is_empty() {
-            // Misses are pure label comparisons — safe to fan out; the
-            // values are identical however they are scheduled.
-            let parallel = cfg!(feature = "parallel") && missing.len() >= par::PAR_CELL_THRESHOLD;
-            let computed: Vec<NameMatch> = par::map_rows(missing.len(), parallel, |k| {
-                let idx = missing[k];
-                self.compare_distinct(source, idx / cols, target, idx % cols)
-            });
-            let mut cache = self.labels.lock().expect("label cache lock");
-            for (k, &idx) in missing.iter().enumerate() {
-                let (i, j) = (idx / cols, idx % cols);
-                cache.insert((source.distinct[i].0, target.distinct[j].0), computed[k]);
-                table[idx] = Some(computed[k]);
-            }
-        }
+        self.compute_missing(source, target, (&sources, &targets), &missing, &mut table);
         let matrix = LabelMatrix::from_parts(
             source.node_distinct.clone(),
             target.node_distinct.clone(),
             cols,
-            table
-                .into_iter()
-                .map(|m| m.expect("table filled"))
-                .collect(),
+            table,
         );
         self.trace.finish(
             t0,
@@ -888,6 +929,61 @@ impl MatchSession {
             },
         );
         matrix
+    }
+
+    /// Appends one label-table row per symbol in `sources` to `table`
+    /// under a single cache lock, leaving a placeholder and noting the flat
+    /// index in `missing` for every uncached pair.
+    fn fill_rows(
+        &self,
+        sources: &[Symbol],
+        targets: &[Symbol],
+        table: &mut Vec<NameMatch>,
+        missing: &mut Vec<usize>,
+    ) {
+        let cache = self.labels.lock().expect("label cache lock");
+        for &s in sources {
+            let row = cache.row(s);
+            for &t in targets {
+                table.push(match row.get(t) {
+                    Some(hit) => hit,
+                    None => {
+                        missing.push(table.len());
+                        UNCACHED
+                    }
+                });
+            }
+        }
+    }
+
+    /// Computes the pairs `missing` names (flat indices into the
+    /// source-row × target-column `table`), writes them into `table` and
+    /// caches them under the `(sources, targets)` symbols of those rows
+    /// and columns.
+    fn compute_missing(
+        &self,
+        source: &PreparedSchema,
+        target: &PreparedSchema,
+        (sources, targets): (&[Symbol], &[Symbol]),
+        missing: &[usize],
+        table: &mut [NameMatch],
+    ) {
+        if missing.is_empty() {
+            return;
+        }
+        let cols = targets.len();
+        // Misses are pure label comparisons — safe to fan out; the values
+        // are identical however they are scheduled.
+        let parallel = cfg!(feature = "parallel") && missing.len() >= par::PAR_CELL_THRESHOLD;
+        let computed: Vec<NameMatch> = par::map_rows(missing.len(), parallel, |k| {
+            let idx = missing[k];
+            self.compare_distinct(source, idx / cols, target, idx % cols)
+        });
+        let mut cache = self.labels.lock().expect("label cache lock");
+        for (&idx, &value) in missing.iter().zip(&computed) {
+            cache.insert(sources[idx / cols], targets[idx % cols], value);
+            table[idx] = value;
+        }
     }
 
     /// The dense label matrix for a prepared pair — the reusable artifact
@@ -920,59 +1016,41 @@ impl MatchSession {
             return None;
         }
         let t0 = self.trace.start();
-        let old_row: HashMap<Symbol, usize> = old_source
-            .distinct
+        let sources = self.local_symbols(new_source);
+        let old_row: HashMap<Symbol, usize> = self
+            .local_symbols(old_source)
             .iter()
             .enumerate()
             .map(|(i, &symbol)| (symbol, i))
             .collect();
-        let placeholder = NameMatch {
-            grade: LabelGrade::None,
-            score: 0.0,
-        };
+        // Rows of labels the old revision had are copied out of
+        // `old_labels`; fresh ones come from the cache, misses computed
+        // after.
+        let targets = self.local_symbols(target);
         let mut table: Vec<NameMatch> = Vec::with_capacity(rows * cols);
-        let mut fresh: Vec<usize> = Vec::new();
-        for i in 0..rows {
-            match old_row.get(&new_source.distinct[i]) {
+        let mut missing: Vec<usize> = Vec::new();
+        let mut fresh = 0usize;
+        for (i, symbol) in sources.iter().enumerate() {
+            match old_row.get(symbol) {
                 Some(&old_i) => table.extend_from_slice(old_labels.distinct_row_raw(old_i)),
                 None => {
-                    fresh.push(i);
-                    table.resize(table.len() + cols, placeholder);
+                    fresh += 1;
+                    self.fill_rows(&sources[i..=i], &targets, &mut table, &mut missing);
                 }
             }
         }
-        let copied = (rows - fresh.len()) as u64 * cols as u64;
-        let mut hit_count = 0u64;
-        let mut miss_count = 0u64;
-        for &i in &fresh {
-            for j in 0..cols {
-                let key = (new_source.distinct[i].0, target.distinct[j].0);
-                let cached = self
-                    .labels
-                    .lock()
-                    .expect("label cache lock")
-                    .get(&key)
-                    .copied();
-                let value = match cached {
-                    Some(hit) => {
-                        hit_count += 1;
-                        hit
-                    }
-                    None => {
-                        miss_count += 1;
-                        let computed = self.compare_distinct(new_source, i, target, j);
-                        self.labels
-                            .lock()
-                            .expect("label cache lock")
-                            .insert(key, computed);
-                        computed
-                    }
-                };
-                table[i * cols + j] = value;
-            }
-        }
+        let copied = (rows - fresh) as u64 * cols as u64;
+        let miss_count = missing.len() as u64;
+        let hit_count = fresh as u64 * cols as u64 - miss_count;
         self.hits.fetch_add(hit_count, Ordering::Relaxed);
         self.misses.fetch_add(miss_count, Ordering::Relaxed);
+        self.compute_missing(
+            new_source,
+            target,
+            (&sources, &targets),
+            &missing,
+            &mut table,
+        );
         let matrix = LabelMatrix::from_parts(
             new_source.node_distinct.clone(),
             target.node_distinct.clone(),
@@ -1022,6 +1100,13 @@ impl MatchSession {
         }
     }
 }
+
+/// Placeholder for a label-table cell whose comparison is still being
+/// computed; always overwritten before the table is used.
+const UNCACHED: NameMatch = NameMatch {
+    grade: LabelGrade::None,
+    score: 0.0,
+};
 
 /// Converts an outcome's matrix storage to `precision` (no-op when it
 /// already matches); used by the algorithms whose kernels compute in `f64`.
@@ -1180,6 +1265,64 @@ mod tests {
             let outcome = h.join().expect("worker thread");
             assert_eq!(outcome.matrix, baseline.matrix);
         }
+    }
+
+    fn table(labels: &LabelMatrix) -> Vec<NameMatch> {
+        (0..labels.distinct_rows_raw())
+            .flat_map(|i| labels.distinct_row_raw(i).to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn siblings_share_symbols_and_foreign_artifacts_are_reinterned() {
+        let (a, b) = (po(), purchase_order());
+        let home = MatchSession::new(MatchConfig::default());
+        let (pa, pb) = (home.prepare(&a), home.prepare(&b));
+        let expected = home.match_pair(&pa, &pb);
+        // A sibling numbers labels exactly as `home` does.
+        let sibling = home.sibling();
+        assert!(sibling.owns(&pa) && sibling.owns(&pb));
+        assert_eq!(sibling.prepare(&b).symbol(NodeId(2)), pb.symbol(NodeId(2)));
+        assert_eq!(sibling.match_pair(&pa, &pb).matrix, expected.matrix);
+        // An unrelated session whose interner saw other labels first: its
+        // symbols for these labels collide with `home`'s for different
+        // ones, and `home`'s warm cache must not be keyed by them.
+        let foreign = MatchSession::new(MatchConfig::default());
+        foreign.prepare(&SchemaTree::from_labels(
+            "Zeta",
+            &[("Zeta", None), ("Qty", Some(0)), ("PO", Some(0))],
+        ));
+        let (fa, fb) = (foreign.prepare(&a), foreign.prepare(&b));
+        assert!(!home.owns(&fa));
+        assert_ne!(fa.symbol(NodeId(0)), pa.symbol(NodeId(0)));
+        for (s, t) in [(&fa, &fb), (&pa, &fb), (&fa, &pb)] {
+            assert_eq!(home.match_pair(s, t).matrix, expected.matrix);
+            assert_eq!(
+                table(&home.label_matrix(s, t)),
+                table(&home.label_matrix(&pa, &pb))
+            );
+            for (sid, _) in a.iter() {
+                for (tid, _) in b.iter() {
+                    assert_eq!(
+                        home.label_match(s, sid, t, tid),
+                        home.label_match(&pa, sid, &pb, tid)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn label_cache_bytes_grow_with_cached_pairs() {
+        let session = MatchSession::new(MatchConfig::default());
+        assert_eq!(session.label_cache_bytes(), 0);
+        let (a, b) = (po(), purchase_order());
+        let (pa, pb) = (session.prepare(&a), session.prepare(&b));
+        session.match_pair(&pa, &pb);
+        let warm = session.label_cache_bytes();
+        assert!(warm >= 25 * std::mem::size_of::<NameMatch>(), "{warm}");
+        session.match_pair(&pa, &pb);
+        assert_eq!(session.label_cache_bytes(), warm, "hits allocate nothing");
     }
 
     #[test]

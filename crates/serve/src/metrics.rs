@@ -129,6 +129,9 @@ pub struct RegistrySnapshot {
     pub label_hits: u64,
     /// Label-cache misses of the shared match session.
     pub label_misses: u64,
+    /// Heap bytes held by the shard sessions' label caches (a gauge: the
+    /// caches never evict).
+    pub label_cache_bytes: u64,
     /// Schemas admitted as topk candidates by the shard indexes.
     pub index_candidates: u64,
     /// Schemas pruned by the shard indexes before the DP ran.
@@ -349,6 +352,11 @@ impl Metrics {
             "qmatch_label_cache_hit_rate {}",
             fmt_f64(registry.label_hit_rate())
         );
+        let _ = writeln!(
+            out,
+            "qmatch_label_cache_bytes {}",
+            registry.label_cache_bytes
+        );
         let _ = writeln!(out, "qmatch_index_candidates {}", registry.index_candidates);
         let _ = writeln!(
             out,
@@ -518,6 +526,7 @@ mod tests {
             evictions: 1,
             label_hits: 75,
             label_misses: 25,
+            label_cache_bytes: 4096,
             index_candidates: 7,
             index_filtered: 93,
             evolve_incremental: 4,
@@ -529,6 +538,7 @@ mod tests {
         assert!(text.contains("qmatch_rejected_by_limits_total 1"));
         assert!(text.contains("qmatch_registry_schemas 3"));
         assert!(text.contains("qmatch_label_cache_hit_rate 0.75"));
+        assert!(text.contains("qmatch_label_cache_bytes 4096"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));
         assert!(text.contains("qmatch_evolve_incremental_total 4"));

@@ -49,7 +49,8 @@ pub struct Registry {
 
 impl Registry {
     /// A registry over an already-built shard vector (the server builds
-    /// one shard per worker thread, each with its own session).
+    /// one shard per worker thread, each with its own session; the
+    /// sessions are [`MatchSession::sibling`]s sharing one interner).
     pub fn new(shards: Vec<Arc<Shard>>) -> Registry {
         assert!(!shards.is_empty(), "a registry needs at least one shard");
         Registry { shards }
@@ -161,6 +162,7 @@ impl Registry {
             total.evictions += s.evictions;
             total.label_hits += s.label_hits;
             total.label_misses += s.label_misses;
+            total.label_cache_bytes += s.label_cache_bytes;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;
             total.evolve_incremental += s.evolve_incremental;

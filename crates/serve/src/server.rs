@@ -133,12 +133,16 @@ impl Server {
         } else {
             config.threads
         };
+        // Every shard session is a sibling of one base session: they share
+        // one interner, so an artifact prepared on any shard runs on every
+        // other without re-interning.
+        let base = match &config.matcher {
+            Some(matcher) => MatchSession::with_matcher(config.config, matcher.clone()),
+            None => MatchSession::new(config.config),
+        };
         let shards: Vec<Arc<Shard>> = (0..threads)
             .map(|i| {
-                let mut session = match &config.matcher {
-                    Some(matcher) => MatchSession::with_matcher(config.config, matcher.clone()),
-                    None => MatchSession::new(config.config),
-                };
+                let mut session = base.sibling();
                 // Every pipeline span the session emits (prepares,
                 // label-matrix builds, wavefront passes) lands in the
                 // qmatch_phase_* series of GET /metrics. Wired before the

@@ -6,10 +6,11 @@
 //! its own [`MatchSession`] (label cache, matrix arena). A match on
 //! `source` always executes on `shard_of(source)`'s thread, so the hot
 //! per-session state is touched by exactly one thread; a cross-shard
-//! *target* costs only an `Arc` clone of the owner's prepared artifact
-//! (preparation is a pure function of the tree, so artifacts are
-//! interchangeable between sessions — scores are bit-identical regardless
-//! of which session runs the match).
+//! *target* costs only an `Arc` clone of the owner's prepared artifact.
+//! The server's shard sessions are [`MatchSession::sibling`]s sharing one
+//! interner, so those artifacts' symbols key every shard's label cache
+//! directly (a session re-interns an artifact from a foreign interner, so
+//! scores are bit-identical regardless of which session runs the match).
 //!
 //! The reactor feeds shards through per-shard channels of [`Job`]s:
 //! [`Job::Exec`] for single-shard work (PUT, `/match`), [`Job::Partial`]
@@ -392,6 +393,7 @@ impl Shard {
             evictions: self.evictions.load(Ordering::Relaxed),
             label_hits: labels.hits,
             label_misses: labels.misses,
+            label_cache_bytes: self.session.label_cache_bytes() as u64,
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
             evolve_incremental: self.evolve_incremental.load(Ordering::Relaxed),

@@ -91,6 +91,15 @@ fn session_and_algorithm_surface() {
     };
     let error: CompositeError = session.run(&invalid, &sp, &tp).unwrap_err();
     assert!(!error.to_string().is_empty());
+
+    // Sibling sessions share the interner but not the label cache; the
+    // cache reports its footprint.
+    let sibling: MatchSession = session.sibling();
+    let expected = session.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
+    let outcome = sibling.run(&Algorithm::Hybrid, &sp, &tp).unwrap();
+    assert_eq!(outcome.matrix, expected.matrix);
+    let bytes: usize = session.label_cache_bytes();
+    assert!(bytes > 0);
 }
 
 #[test]

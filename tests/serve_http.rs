@@ -399,6 +399,13 @@ fn concurrent_clients_get_byte_identical_responses() {
         .parse()
         .expect("numeric rate");
     assert!(rate > 0.0, "label cache never hit: {metrics}");
+    let cache_bytes: u64 = metrics
+        .lines()
+        .find_map(|l| l.strip_prefix("qmatch_label_cache_bytes "))
+        .expect("label cache bytes gauge")
+        .parse()
+        .expect("numeric gauge");
+    assert!(cache_bytes > 0, "cached comparisons take memory: {metrics}");
     assert!(
         metrics.contains("qmatch_requests{endpoint=\"match\"} 41"),
         "{metrics}"
