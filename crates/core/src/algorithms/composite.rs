@@ -11,7 +11,7 @@
 //! composite configurations.
 
 use super::{tree_edit_match, MatchOutcome};
-use crate::matrix::SimMatrix;
+use crate::matrix::{Precision, SimMatrix};
 use crate::model::MatchConfig;
 use crate::session::{MatchSession, PreparedSchema};
 use crate::trace::{Phase, Span};
@@ -158,7 +158,13 @@ pub(crate) fn composite_match_impl(
         |i| components[i].run_in(session, source, target),
     );
     let t0 = session.trace().start();
-    let matrix = combine(outcomes.iter().map(|o| &o.matrix), aggregation);
+    let (rows, cols) = (source.tree().len(), target.tree().len());
+    let mut matrix = session.arena().take_matrix(rows, cols, Precision::F64);
+    combine_into(
+        &mut matrix,
+        &outcomes.iter().map(|o| &o.matrix).collect::<Vec<_>>(),
+        aggregation,
+    );
     let total_qom = matrix.get(source.tree().root_id(), target.tree().root_id());
     // The component matrices are spent once combined: recycle their buffers
     // into the session arena for the next match.
@@ -176,15 +182,11 @@ pub(crate) fn composite_match_impl(
     Ok(MatchOutcome { matrix, total_qom })
 }
 
-/// Combines pre-computed matrices (all must share dimensions).
-pub fn combine<'m>(
-    matrices: impl IntoIterator<Item = &'m SimMatrix>,
-    aggregation: &Aggregation,
-) -> SimMatrix {
-    let matrices: Vec<&SimMatrix> = matrices.into_iter().collect();
-    assert!(!matrices.is_empty(), "combine needs at least one matrix");
-    let (rows, cols) = (matrices[0].rows(), matrices[0].cols());
-    for m in &matrices {
+/// Combines pre-computed matrices (all must share `out`'s dimensions) into
+/// `out`, overwriting every cell (so `out` may be a stale arena buffer).
+fn combine_into(out: &mut SimMatrix, matrices: &[&SimMatrix], aggregation: &Aggregation) {
+    let (rows, cols) = (out.rows(), out.cols());
+    for m in matrices {
         assert_eq!(
             (m.rows(), m.cols()),
             (rows, cols),
@@ -198,7 +200,6 @@ pub fn combine<'m>(
         }
         _ => None,
     };
-    let mut out = SimMatrix::zeros(rows, cols);
     for r in 0..rows {
         for c in 0..cols {
             let (source, target) = (NodeId(r as u32), NodeId(c as u32));
@@ -215,13 +216,18 @@ pub fn combine<'m>(
             out.set(source, target, value);
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(deprecated)] // the one-shot wrappers stay covered until removal
     use super::*;
+
+    fn combine(matrices: &[&SimMatrix], aggregation: &Aggregation) -> SimMatrix {
+        let mut out = SimMatrix::zeros(matrices[0].rows(), matrices[0].cols());
+        combine_into(&mut out, matrices, aggregation);
+        out
+    }
 
     fn trees() -> (SchemaTree, SchemaTree) {
         let a = SchemaTree::from_labels(
@@ -252,13 +258,13 @@ mod tests {
     #[test]
     fn max_min_average_combinations() {
         let (a, b) = matrices();
-        let max = combine([&a, &b], &Aggregation::Max);
+        let max = combine(&[&a, &b], &Aggregation::Max);
         assert_eq!(max.get(NodeId(0), NodeId(0)), 0.8);
         assert_eq!(max.get(NodeId(1), NodeId(1)), 0.6);
-        let min = combine([&a, &b], &Aggregation::Min);
+        let min = combine(&[&a, &b], &Aggregation::Min);
         assert_eq!(min.get(NodeId(0), NodeId(0)), 0.4);
         assert_eq!(min.get(NodeId(1), NodeId(1)), 0.2);
-        let avg = combine([&a, &b], &Aggregation::Average);
+        let avg = combine(&[&a, &b], &Aggregation::Average);
         assert!((avg.get(NodeId(0), NodeId(0)) - 0.6).abs() < 1e-12);
         assert!((avg.get(NodeId(1), NodeId(1)) - 0.4).abs() < 1e-12);
     }
@@ -267,7 +273,7 @@ mod tests {
     fn weighted_combination_normalizes() {
         let (a, b) = matrices();
         // Weights 3:1 — no need to pre-normalize.
-        let w = combine([&a, &b], &Aggregation::Weighted(vec![3.0, 1.0]));
+        let w = combine(&[&a, &b], &Aggregation::Weighted(vec![3.0, 1.0]));
         assert!((w.get(NodeId(0), NodeId(0)) - (0.75 * 0.8 + 0.25 * 0.4)).abs() < 1e-12);
     }
 
@@ -275,9 +281,9 @@ mod tests {
     fn single_matrix_is_identity_for_every_aggregation() {
         let (a, _) = matrices();
         for agg in [Aggregation::Max, Aggregation::Min, Aggregation::Average] {
-            assert_eq!(combine([&a], &agg), a);
+            assert_eq!(combine(&[&a], &agg), a);
         }
-        assert_eq!(combine([&a], &Aggregation::Weighted(vec![7.0])), a);
+        assert_eq!(combine(&[&a], &Aggregation::Weighted(vec![7.0])), a);
     }
 
     #[test]
@@ -349,7 +355,7 @@ mod tests {
     fn combine_panics_on_dimension_mismatch() {
         let a = SimMatrix::zeros(2, 2);
         let b = SimMatrix::zeros(3, 2);
-        combine([&a, &b], &Aggregation::Max);
+        combine(&[&a, &b], &Aggregation::Max);
     }
 
     #[test]

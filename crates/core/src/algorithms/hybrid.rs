@@ -315,8 +315,9 @@ fn run_waves_incremental<S: Score>(
 /// whatever the output precision — and the per-node index columns below
 /// turn a cell visit into two contiguous-row gathers.
 struct PairTables<'p> {
-    /// Distinct label-pair scores, `… × label_cols` row-major.
-    ltab: Vec<f64>,
+    /// Distinct label-pair scores, `… × label_cols` row-major (the label
+    /// matrix's own table, read in place).
+    ltab: &'p [f64],
     label_cols: usize,
     /// Per-node row/column indices into `ltab`.
     s_label: &'p [u32],

@@ -148,17 +148,23 @@ pub(crate) fn compare_single_labels(
 /// Precomputed label-similarity matrix shared by the engines.
 ///
 /// Each distinct source/target label pair is compared exactly once into a
-/// dense `distinct_src × distinct_tgt` table of [`NameMatch`]es; lookups are
-/// then two array reads and a multiply — no hashing, no mutation, no locks.
-/// The table is built by [`crate::session::MatchSession`], whose
-/// cross-schema `(Symbol, Symbol)` cache means a distinct pair already seen
-/// in an earlier match of the same session is not even re-compared; these
-/// constructors spin up an ephemeral session for the one-shot case.
+/// dense `distinct_src × distinct_tgt` table; lookups are then two array
+/// reads and a multiply — no hashing, no mutation, no locks. The table is a
+/// struct of arrays: one `f64` score and one one-byte [`LabelGrade`] per
+/// pair (9 B instead of a padded 16-byte [`NameMatch`]), so the kernels
+/// read the scores in place. The table is built by
+/// [`crate::session::MatchSession`], whose cross-schema `(Symbol, Symbol)`
+/// cache means a distinct pair already seen in an earlier match of the same
+/// session is not even re-compared; these constructors spin up an
+/// ephemeral session for the one-shot case.
 pub struct LabelMatrix {
     source_ids: Vec<u32>,
     target_ids: Vec<u32>,
     distinct_cols: usize,
-    table: Vec<NameMatch>,
+    /// Distinct-pair scores, row-major.
+    scores: Vec<f64>,
+    /// Distinct-pair grades, parallel to `scores`.
+    grades: Vec<LabelGrade>,
 }
 
 impl LabelMatrix {
@@ -184,19 +190,27 @@ impl LabelMatrix {
     }
 
     /// Assembles a matrix from session-computed parts: per-node distinct
-    /// ids for both trees and the dense distinct-pair table.
+    /// ids for both trees and the dense distinct-pair score and grade
+    /// tables.
     pub(crate) fn from_parts(
         source_ids: Vec<u32>,
         target_ids: Vec<u32>,
         distinct_cols: usize,
-        table: Vec<NameMatch>,
+        (scores, grades): (Vec<f64>, Vec<LabelGrade>),
     ) -> LabelMatrix {
+        debug_assert_eq!(scores.len(), grades.len());
         LabelMatrix {
             source_ids,
             target_ids,
             distinct_cols,
-            table,
+            scores,
+            grades,
         }
+    }
+
+    /// The score and grade tables, for the session arena to pool.
+    pub(crate) fn into_tables(self) -> (Vec<f64>, Vec<LabelGrade>) {
+        (self.scores, self.grades)
     }
 
     /// The label comparison for a source and a target node.
@@ -204,19 +218,23 @@ impl LabelMatrix {
     pub fn get(&self, s: NodeId, t: NodeId) -> NameMatch {
         let row = self.source_ids[s.index()] as usize;
         let col = self.target_ids[t.index()] as usize;
-        self.table[row * self.distinct_cols + col]
+        let k = row * self.distinct_cols + col;
+        NameMatch {
+            grade: self.grades[k],
+            score: self.scores[k],
+        }
     }
 
     /// Number of distinct label pairs held (the table size).
     pub fn distinct_pairs(&self) -> usize {
-        self.table.len()
+        self.scores.len()
     }
 
-    /// The distinct score table flattened to `f64`, row-major — the hybrid
-    /// kernel gathers label scores from its contiguous rows instead of going
-    /// through [`LabelMatrix::get`]'s `NodeId` arithmetic per cell.
-    pub(crate) fn score_table(&self) -> Vec<f64> {
-        self.table.iter().map(|m| m.score).collect()
+    /// The distinct score table, row-major — the kernels gather label
+    /// scores from its contiguous rows instead of going through
+    /// [`LabelMatrix::get`]'s `NodeId` arithmetic per cell.
+    pub(crate) fn score_table(&self) -> &[f64] {
+        &self.scores
     }
 
     /// Per-source-node row indices into the distinct table.
@@ -236,16 +254,18 @@ impl LabelMatrix {
 
     /// Height (distinct source labels) of the distinct table.
     pub(crate) fn distinct_rows_raw(&self) -> usize {
-        self.table
+        self.scores
             .len()
             .checked_div(self.distinct_cols)
             .unwrap_or(0)
     }
 
-    /// One distinct source label's comparison row — the unit the evolved
-    /// label build copies wholesale for labels shared between revisions.
-    pub(crate) fn distinct_row_raw(&self, row: usize) -> &[NameMatch] {
-        &self.table[row * self.distinct_cols..(row + 1) * self.distinct_cols]
+    /// One distinct source label's score and grade row — the unit the
+    /// evolved label build copies wholesale for labels shared between
+    /// revisions.
+    pub(crate) fn distinct_row_raw(&self, row: usize) -> (&[f64], &[LabelGrade]) {
+        let range = row * self.distinct_cols..(row + 1) * self.distinct_cols;
+        (&self.scores[range.clone()], &self.grades[range])
     }
 }
 

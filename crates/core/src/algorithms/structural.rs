@@ -142,7 +142,7 @@ pub(crate) fn structural_match_impl(
     }
     // The shape matrix is internal: hand its buffer straight back.
     arena.put_matrix(matrix);
-    let matrix = contextual.with_precision(precision);
+    let matrix = arena.convert(contextual, precision);
     let total_qom = matrix.get(source.tree().root_id(), target.tree().root_id());
     MatchOutcome { matrix, total_qom }
 }

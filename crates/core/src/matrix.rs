@@ -306,6 +306,27 @@ impl SimMatrix {
         }
     }
 
+    /// Overwrites every cell with `other`'s (same shape, any precision),
+    /// with the same per-cell conversion as [`SimMatrix::with_precision`]:
+    /// widening is exact, narrowing rounds each cell to the nearest `f32`.
+    pub(crate) fn copy_cells_from(&mut self, other: &SimMatrix) {
+        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
+        match (&mut self.data, &other.data) {
+            (MatrixData::F64(dst), MatrixData::F64(src)) => dst.copy_from_slice(src),
+            (MatrixData::F32(dst), MatrixData::F32(src)) => dst.copy_from_slice(src),
+            (MatrixData::F32(dst), MatrixData::F64(src)) => {
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = x as f32;
+                }
+            }
+            (MatrixData::F64(dst), MatrixData::F32(src)) => {
+                for (d, &x) in dst.iter_mut().zip(src) {
+                    *d = f64::from(x);
+                }
+            }
+        }
+    }
+
     /// Number of source nodes (rows).
     pub fn rows(&self) -> usize {
         self.rows

@@ -413,6 +413,16 @@ impl MatchSession {
         self.arena.put_matrix(outcome.matrix);
     }
 
+    /// Converts an outcome's matrix storage to `precision` through the
+    /// arena (no-op when it already matches); used by the algorithms whose
+    /// kernels compute in `f64`.
+    fn convert_outcome(&self, outcome: MatchOutcome, precision: Precision) -> MatchOutcome {
+        MatchOutcome {
+            matrix: self.arena.convert(outcome.matrix, precision),
+            total_qom: outcome.total_qom,
+        }
+    }
+
     /// Cross-schema label-cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
@@ -612,7 +622,7 @@ impl MatchSession {
             Algorithm::Linguistic => Ok(self.linguistic_with(source, target, true, precision)),
             Algorithm::Structural => Ok(self.structural_with(source, target, true, precision)),
             Algorithm::Cupid => Ok(self.cupid_with(source, target, true, precision)),
-            Algorithm::TreeEdit => Ok(convert_outcome(
+            Algorithm::TreeEdit => Ok(self.convert_outcome(
                 tree_edit_match(source.tree(), target.tree(), &self.config),
                 precision,
             )),
@@ -621,7 +631,7 @@ impl MatchSession {
                 aggregation,
             } => self
                 .composite(source, target, components, aggregation)
-                .map(|outcome| convert_outcome(outcome, precision)),
+                .map(|outcome| self.convert_outcome(outcome, precision)),
         }
     }
 
@@ -667,7 +677,7 @@ impl MatchSession {
         precision: Precision,
     ) -> MatchOutcome {
         let labels = self.pair_labels(source, target);
-        hybrid_match_impl(
+        let outcome = hybrid_match_impl(
             source,
             target,
             &self.config,
@@ -676,7 +686,9 @@ impl MatchSession {
             &self.trace,
             &self.arena,
             precision,
-        )
+        );
+        self.arena.put_labels(labels);
+        outcome
     }
 
     /// The flat linguistic matcher over prepared schemas.
@@ -701,7 +713,7 @@ impl MatchSession {
         precision: Precision,
     ) -> MatchOutcome {
         let labels = self.pair_labels(source, target);
-        linguistic_match_impl(
+        let outcome = linguistic_match_impl(
             source,
             target,
             &labels,
@@ -709,7 +721,9 @@ impl MatchSession {
             &self.trace,
             &self.arena,
             precision,
-        )
+        );
+        self.arena.put_labels(labels);
+        outcome
     }
 
     /// The full-fidelity CUPID engine ([`Algorithm::Cupid`]): similarity
@@ -737,7 +751,7 @@ impl MatchSession {
         precision: Precision,
     ) -> MatchOutcome {
         let labels = self.pair_labels(source, target);
-        cupid_match_impl(
+        let outcome = cupid_match_impl(
             source,
             target,
             self.config.cupid,
@@ -746,7 +760,9 @@ impl MatchSession {
             &self.trace,
             &self.arena,
             precision,
-        )
+        );
+        self.arena.put_labels(labels);
+        outcome
     }
 
     /// The structural matcher over prepared schemas (labels unused — no
@@ -904,7 +920,7 @@ impl MatchSession {
         let rows = source.distinct.len();
         let cols = target.distinct.len();
         let (sources, targets) = (self.local_symbols(source), self.local_symbols(target));
-        let mut table: Vec<NameMatch> = Vec::with_capacity(rows * cols);
+        let mut table = self.arena.take_labels(rows * cols);
         let mut missing: Vec<usize> = Vec::new();
         self.fill_rows(&sources, &targets, &mut table, &mut missing);
         let miss_count = missing.len() as u64;
@@ -931,42 +947,41 @@ impl MatchSession {
         matrix
     }
 
-    /// Appends one label-table row per symbol in `sources` to `table`
-    /// under a single cache lock, leaving a placeholder and noting the flat
-    /// index in `missing` for every uncached pair.
+    /// Appends one score-and-grade row per symbol in `sources` to the
+    /// label tables under a single cache lock, leaving a placeholder and
+    /// noting the flat index in `missing` for every uncached pair.
     fn fill_rows(
         &self,
         sources: &[Symbol],
         targets: &[Symbol],
-        table: &mut Vec<NameMatch>,
+        (scores, grades): &mut (Vec<f64>, Vec<LabelGrade>),
         missing: &mut Vec<usize>,
     ) {
         let cache = self.labels.lock().expect("label cache lock");
         for &s in sources {
             let row = cache.row(s);
             for &t in targets {
-                table.push(match row.get(t) {
-                    Some(hit) => hit,
-                    None => {
-                        missing.push(table.len());
-                        UNCACHED
-                    }
+                let entry = row.get(t).unwrap_or_else(|| {
+                    missing.push(scores.len());
+                    UNCACHED
                 });
+                scores.push(entry.score);
+                grades.push(entry.grade);
             }
         }
     }
 
     /// Computes the pairs `missing` names (flat indices into the
-    /// source-row × target-column `table`), writes them into `table` and
-    /// caches them under the `(sources, targets)` symbols of those rows
-    /// and columns.
+    /// source-row × target-column label tables), writes them into the
+    /// tables and caches them under the `(sources, targets)` symbols of
+    /// those rows and columns.
     fn compute_missing(
         &self,
         source: &PreparedSchema,
         target: &PreparedSchema,
         (sources, targets): (&[Symbol], &[Symbol]),
         missing: &[usize],
-        table: &mut [NameMatch],
+        (scores, grades): &mut (Vec<f64>, Vec<LabelGrade>),
     ) {
         if missing.is_empty() {
             return;
@@ -982,7 +997,8 @@ impl MatchSession {
         let mut cache = self.labels.lock().expect("label cache lock");
         for (&idx, &value) in missing.iter().zip(&computed) {
             cache.insert(sources[idx / cols], targets[idx % cols], value);
-            table[idx] = value;
+            scores[idx] = value.score;
+            grades[idx] = value.grade;
         }
     }
 
@@ -1027,12 +1043,16 @@ impl MatchSession {
         // `old_labels`; fresh ones come from the cache, misses computed
         // after.
         let targets = self.local_symbols(target);
-        let mut table: Vec<NameMatch> = Vec::with_capacity(rows * cols);
+        let mut table = self.arena.take_labels(rows * cols);
         let mut missing: Vec<usize> = Vec::new();
         let mut fresh = 0usize;
         for (i, symbol) in sources.iter().enumerate() {
             match old_row.get(symbol) {
-                Some(&old_i) => table.extend_from_slice(old_labels.distinct_row_raw(old_i)),
+                Some(&old_i) => {
+                    let (scores, grades) = old_labels.distinct_row_raw(old_i);
+                    table.0.extend_from_slice(scores);
+                    table.1.extend_from_slice(grades);
+                }
                 None => {
                     fresh += 1;
                     self.fill_rows(&sources[i..=i], &targets, &mut table, &mut missing);
@@ -1107,15 +1127,6 @@ const UNCACHED: NameMatch = NameMatch {
     grade: LabelGrade::None,
     score: 0.0,
 };
-
-/// Converts an outcome's matrix storage to `precision` (no-op when it
-/// already matches); used by the algorithms whose kernels compute in `f64`.
-fn convert_outcome(outcome: MatchOutcome, precision: Precision) -> MatchOutcome {
-    MatchOutcome {
-        matrix: outcome.matrix.with_precision(precision),
-        total_qom: outcome.total_qom,
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1267,10 +1278,11 @@ mod tests {
         }
     }
 
-    fn table(labels: &LabelMatrix) -> Vec<NameMatch> {
-        (0..labels.distinct_rows_raw())
-            .flat_map(|i| labels.distinct_row_raw(i).to_vec())
-            .collect()
+    fn table(labels: &LabelMatrix) -> (Vec<f64>, Vec<LabelGrade>) {
+        let (scores, grades): (Vec<&[f64]>, Vec<&[LabelGrade]>) = (0..labels.distinct_rows_raw())
+            .map(|i| labels.distinct_row_raw(i))
+            .unzip();
+        (scores.concat(), grades.concat())
     }
 
     #[test]

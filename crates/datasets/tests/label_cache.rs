@@ -6,9 +6,12 @@
 //! them, so later labels are interned past the cache's existing rows and
 //! page directories while earlier rows keep gaining entries. Some pairs
 //! use artifacts from an unrelated session, whose symbols must be
-//! re-interned rather than trusted. Every check is bit-for-bit.
+//! re-interned rather than trusted. A last walk interleaves label builds
+//! with hybrid matches, so the label tables come out of the session arena
+//! after pairs of other shapes. Every check is bit-for-bit.
 
 use qmatch_core::algorithms::LabelMatrix;
+use qmatch_core::matrix::SimMatrix;
 use qmatch_core::model::MatchConfig;
 use qmatch_core::session::{MatchSession, PreparedSchema};
 use qmatch_datasets::drift::{mutation_chain, synthetic_registry, GATE_SEED};
@@ -156,4 +159,82 @@ fn evolved_label_matrices_match_a_fresh_build() {
             (old, old_labels, previous) = (new, evolved.labels, evolved.outcome);
         }
     }
+}
+
+/// A fresh session's label matrix and hybrid matrix for one tree pair.
+fn cold_build(source: &SchemaTree, target: &SchemaTree) -> (LabelMatrix, SimMatrix) {
+    let cold = MatchSession::new(MatchConfig::default());
+    let (ps, pt) = (cold.prepare(source), cold.prepare(target));
+    (cold.label_matrix(&ps, &pt), cold.hybrid(&ps, &pt).matrix)
+}
+
+#[test]
+fn pooled_label_buffers_match_cold_builds() {
+    let mut rng = SmallRng::seed_from_u64(GATE_SEED ^ 0xb0f5);
+    let small: Vec<SchemaTree> = synthetic_registry(10, GATE_SEED ^ 7)
+        .into_iter()
+        .map(|(_, tree)| tree)
+        .collect();
+    let (pir, pdb) = (synth::pir(), synth::pdb());
+
+    let warm = MatchSession::new(MatchConfig::default());
+    let stranger = MatchSession::new(MatchConfig::default());
+    let (wpir, wpdb) = (warm.prepare(pir), warm.prepare(pdb));
+    // While `warm` is still fresh (empty cache, empty arena) its first
+    // protein build is the cold reference; a second session would redo
+    // all 867k comparisons.
+    let protein_cold = (
+        warm.label_matrix(&wpir, &wpdb),
+        warm.hybrid(&wpir, &wpdb).matrix,
+    );
+    let wsmall: Vec<PreparedSchema> = small.iter().map(|t| warm.prepare(t)).collect();
+    let foreign: Vec<PreparedSchema> = small.iter().map(|t| stranger.prepare(t)).collect();
+
+    // Each build takes its score and grade tables from the arena, where
+    // the previous step's hybrid match left a table of another shape:
+    // large → small reuses a larger stale table, small → large grows one.
+    let check = |(source, ps): (&SchemaTree, &PreparedSchema),
+                 (target, pt): (&SchemaTree, &PreparedSchema),
+                 cold: &(LabelMatrix, SimMatrix)| {
+        assert_same(&warm.label_matrix(ps, pt), &cold.0, source, target);
+        let outcome = warm.hybrid(ps, pt);
+        assert_eq!(outcome.matrix, cold.1, "hybrid over pooled labels");
+        warm.recycle(outcome);
+    };
+    check((pir, &wpir), (pdb, &wpdb), &protein_cold);
+    let mut walk: Vec<(usize, usize)> = (0..8)
+        .map(|_| (rng.gen_range(0..small.len()), rng.gen_range(0..small.len())))
+        .collect();
+    walk.insert(4, (usize::MAX, usize::MAX)); // the protein pair mid-walk
+    for (a, b) in walk {
+        if a == usize::MAX {
+            check((pir, &wpir), (pdb, &wpdb), &protein_cold);
+            continue;
+        }
+        let cold = cold_build(&small[a], &small[b]);
+        check((&small[a], &wsmall[a]), (&small[b], &wsmall[b]), &cold);
+        // The same pair with a source artifact from an unrelated interner.
+        check((&small[a], &foreign[a]), (&small[b], &wsmall[b]), &cold);
+    }
+    // Large again, as a source against a small target.
+    let cold = cold_build(pir, &small[0]);
+    check((pir, &wpir), (&small[0], &wsmall[0]), &cold);
+
+    // An evolved build copies rows into pooled tables as well.
+    let next = mutation_chain(pir, 1, 0.08, GATE_SEED ^ 0xe7).remove(0);
+    let diff = warm.diff_trees(pir, &next);
+    let wnext = warm.reprepare(&wpir, &next, &diff);
+    let old_labels = warm.label_matrix(&wpir, &wsmall[0]);
+    let previous = warm.hybrid(&wpir, &wsmall[0]);
+    let evolved = warm.rematch_evolved(&wpir, &old_labels, &wnext, &wsmall[0], &diff, &previous);
+    let cold = cold_build(&next, &small[0]);
+    assert_same(&evolved.labels, &cold.0, &next, &small[0]);
+    assert_eq!(evolved.outcome.matrix, cold.1, "evolved hybrid");
+
+    let stats = warm.arena_stats();
+    assert!(
+        stats.label_reuses > 0,
+        "label tables were reused: {stats:?}"
+    );
+    assert!(stats.matrix_reuses > 0, "matrices were reused: {stats:?}");
 }

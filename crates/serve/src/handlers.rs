@@ -569,6 +569,9 @@ fn do_match(req: &Request, registry: &Registry) -> Response {
             body = body.field("explanations", Json::Arr(explanations));
         }
     }
+    // The body is rendered: hand the matrix back so the shard's next match
+    // reuses it instead of faulting in a fresh rows × cols buffer.
+    session.recycle(outcome);
     Response::json(200, body.render())
 }
 

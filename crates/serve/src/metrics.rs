@@ -12,6 +12,7 @@
 //! histograms that `GET /metrics` exposes next to the request counters.
 
 use crate::json::fmt_f64;
+use qmatch_core::arena::ArenaStats;
 use qmatch_core::trace::{Phase, Span, TraceSink};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -132,6 +133,9 @@ pub struct RegistrySnapshot {
     /// Heap bytes held by the shard sessions' label caches (a gauge: the
     /// caches never evict).
     pub label_cache_bytes: u64,
+    /// Buffer reuses and allocations of the shard sessions' arenas (a warm
+    /// server's allocation counters stay flat).
+    pub arena: ArenaStats,
     /// Schemas admitted as topk candidates by the shard indexes.
     pub index_candidates: u64,
     /// Schemas pruned by the shard indexes before the DP ran.
@@ -357,6 +361,14 @@ impl Metrics {
             "qmatch_label_cache_bytes {}",
             registry.label_cache_bytes
         );
+        let arena = &registry.arena;
+        for (kind, reuses, allocs) in [
+            ("matrix", arena.matrix_reuses, arena.matrix_allocs),
+            ("label", arena.label_reuses, arena.label_allocs),
+        ] {
+            let _ = writeln!(out, "qmatch_arena_{kind}_reuses_total {reuses}");
+            let _ = writeln!(out, "qmatch_arena_{kind}_allocs_total {allocs}");
+        }
         let _ = writeln!(out, "qmatch_index_candidates {}", registry.index_candidates);
         let _ = writeln!(
             out,
@@ -527,6 +539,12 @@ mod tests {
             label_hits: 75,
             label_misses: 25,
             label_cache_bytes: 4096,
+            arena: ArenaStats {
+                matrix_reuses: 11,
+                matrix_allocs: 2,
+                label_reuses: 9,
+                label_allocs: 1,
+            },
             index_candidates: 7,
             index_filtered: 93,
             evolve_incremental: 4,
@@ -539,6 +557,10 @@ mod tests {
         assert!(text.contains("qmatch_registry_schemas 3"));
         assert!(text.contains("qmatch_label_cache_hit_rate 0.75"));
         assert!(text.contains("qmatch_label_cache_bytes 4096"));
+        assert!(text.contains("qmatch_arena_matrix_reuses_total 11"));
+        assert!(text.contains("qmatch_arena_matrix_allocs_total 2"));
+        assert!(text.contains("qmatch_arena_label_reuses_total 9"));
+        assert!(text.contains("qmatch_arena_label_allocs_total 1"));
         assert!(text.contains("qmatch_index_candidates 7"));
         assert!(text.contains("qmatch_index_filtered_total 93"));
         assert!(text.contains("qmatch_evolve_incremental_total 4"));

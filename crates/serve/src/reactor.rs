@@ -87,6 +87,8 @@ struct Poller {
 
 impl Poller {
     fn new() -> std::io::Result<Poller> {
+        // SAFETY: `epoll_create1` takes no pointers; it returns a new fd
+        // (or -1, handled below) that this `Poller` then owns exclusively.
         let epfd = unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) };
         if epfd < 0 {
             return Err(last_err());
@@ -105,6 +107,12 @@ impl Poller {
             events,
             data: token,
         };
+        // SAFETY: `self.epfd` is the epoll fd this `Poller` owns and keeps
+        // open until `Drop`. `fd` is borrowed: every caller holds its owner
+        // (the listener, a connection's `TcpStream` or the `WakeFd`) across
+        // the call, so it is open; a bad fd would only make the call fail.
+        // `ev` is a live `epoll_event` with the kernel's layout on this
+        // stack frame; the kernel only reads it.
         if unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
             return Err(last_err());
         }
@@ -128,6 +136,10 @@ impl Poller {
     /// Waits up to `timeout_ms` and fills `events`; a signal interrupting
     /// the wait reports zero events (the caller's loop re-enters).
     fn wait(&self, events: &mut [EpollEvent], timeout_ms: i32) -> std::io::Result<usize> {
+        // SAFETY: `self.epfd` is the owned, open epoll fd. The kernel writes
+        // at most `events.len()` entries through the pointer, and `events`
+        // is an exclusively borrowed slice of exactly that many
+        // `EpollEvent`s, which match the kernel's `epoll_event` layout.
         let n = unsafe {
             sys::epoll_wait(
                 self.epfd,
@@ -149,6 +161,9 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
+        // SAFETY: `self.epfd` was opened by `Poller::new`, is owned by this
+        // value alone (it is never copied out or cloned) and is closed only
+        // here, once.
         unsafe { sys::close(self.epfd) };
     }
 }
@@ -162,6 +177,8 @@ pub struct WakeFd {
 impl WakeFd {
     /// A fresh nonblocking eventfd.
     pub fn new() -> std::io::Result<WakeFd> {
+        // SAFETY: `eventfd` takes no pointers; it returns a new fd (or -1,
+        // handled below) that this `WakeFd` then owns exclusively.
         let fd = unsafe { sys::eventfd(0, sys::EFD_NONBLOCK | sys::EFD_CLOEXEC) };
         if fd < 0 {
             return Err(last_err());
@@ -178,6 +195,10 @@ impl WakeFd {
     /// already pending, which is all that matters — errors are ignored.
     pub fn wake(&self) {
         let one: u64 = 1;
+        // SAFETY: `self.fd` is the eventfd this `WakeFd` owns, open until
+        // `Drop`. The buffer is `one`, a live `u64` on this stack frame, and
+        // the count is its exact size (eventfd writes are 8 bytes); the
+        // kernel only reads it.
         unsafe {
             sys::write(
                 self.fd,
@@ -191,6 +212,9 @@ impl WakeFd {
     pub fn drain(&self) {
         let mut buf: u64 = 0;
         loop {
+            // SAFETY: `self.fd` is the owned, open eventfd. The kernel
+            // writes at most `size_of::<u64>()` bytes into `buf`, a live,
+            // exclusively borrowed `u64` of exactly that size.
             let n = unsafe {
                 sys::read(
                     self.fd,
@@ -207,6 +231,9 @@ impl WakeFd {
 
 impl Drop for WakeFd {
     fn drop(&mut self) {
+        // SAFETY: `self.fd` was opened by `WakeFd::new`, is owned by this
+        // value alone (shared only through an `Arc`, so `Drop` runs once)
+        // and is closed only here.
         unsafe { sys::close(self.fd) };
     }
 }

@@ -163,6 +163,10 @@ impl Registry {
             total.label_hits += s.label_hits;
             total.label_misses += s.label_misses;
             total.label_cache_bytes += s.label_cache_bytes;
+            total.arena.matrix_reuses += s.arena.matrix_reuses;
+            total.arena.matrix_allocs += s.arena.matrix_allocs;
+            total.arena.label_reuses += s.arena.label_reuses;
+            total.arena.label_allocs += s.arena.label_allocs;
             total.index_candidates += s.index_candidates;
             total.index_filtered += s.index_filtered;
             total.evolve_incremental += s.evolve_incremental;

@@ -394,6 +394,7 @@ impl Shard {
             label_hits: labels.hits,
             label_misses: labels.misses,
             label_cache_bytes: self.session.label_cache_bytes() as u64,
+            arena: self.session.arena_stats(),
             index_candidates: self.index_candidates.load(Ordering::Relaxed),
             index_filtered: self.index_filtered.load(Ordering::Relaxed),
             evolve_incremental: self.evolve_incremental.load(Ordering::Relaxed),

@@ -532,6 +532,76 @@ fn delete_and_hot_update_evolution() {
     runner.join().expect("server thread");
 }
 
+/// The `qmatch_arena_*` counters of one `/metrics` scrape, in series
+/// order.
+fn arena_counters(addr: SocketAddr) -> Vec<(String, u64)> {
+    let (status, metrics) = send(addr, "GET", "/v1/metrics", b"");
+    assert_eq!(status, 200);
+    let counters: Vec<(String, u64)> = metrics
+        .lines()
+        .filter(|l| l.starts_with("qmatch_arena_"))
+        .map(|l| {
+            let (name, value) = l.split_once(' ').expect("series value");
+            (name.to_owned(), value.parse().expect("numeric counter"))
+        })
+        .collect();
+    assert_eq!(counters.len(), 4, "{metrics}");
+    counters
+}
+
+#[test]
+fn warm_matches_recycle_every_buffer() {
+    let (addr, shutdown, runner) = boot();
+    register_corpus(addr);
+    let variants = [
+        "algo=hybrid",
+        "algo=linguistic",
+        "algo=structural",
+        "algo=cupid",
+        "algo=composite",
+        "algo=tree-edit",
+        "explain=1",
+        "precision=f32",
+    ];
+    let ask = |variant: &str| {
+        let target = format!("/v1/match?source=article&target=book&{variant}");
+        let (status, body) = send(addr, "POST", &target, b"");
+        assert_eq!(status, 200, "{variant}: {body}");
+        body
+    };
+    // One warm-up request per variant fills the owner shard's pools. The
+    // arena counters cover only buffers taken from the arena: engine
+    // working memory allocated outside it (cupid, structural, tree-edit)
+    // is not seen here.
+    let first: Vec<String> = variants.iter().map(|v| ask(v)).collect();
+    let warm = arena_counters(addr);
+    let total = |counters: &[(String, u64)], suffix: &str| -> u64 {
+        counters
+            .iter()
+            .filter(|(name, _)| name.ends_with(suffix))
+            .map(|(_, value)| value)
+            .sum()
+    };
+    assert!(total(&warm, "_allocs_total") > 0, "{warm:?}");
+    for _ in 0..3 {
+        for (variant, expected) in variants.iter().zip(&first) {
+            assert_eq!(&ask(variant), expected, "{variant}: reply changed");
+        }
+    }
+    let after = arena_counters(addr);
+    for ((name, before), (_, now)) in warm.iter().zip(&after) {
+        if name.ends_with("_allocs_total") {
+            assert_eq!(before, now, "{name}: a warm match allocated");
+        }
+    }
+    assert!(
+        total(&after, "_reuses_total") > total(&warm, "_reuses_total"),
+        "{after:?}"
+    );
+    shutdown.shutdown();
+    runner.join().expect("server thread");
+}
+
 #[test]
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let (addr, shutdown, runner) = boot();
